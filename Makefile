@@ -258,7 +258,7 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The engine's token-passing design must be race-clean; CI runs this on
+# The engine's coroutine driver loop must be race-clean; CI runs this on
 # every PR (.github/workflows/ci.yml).
 race:
 	$(GO) test -race ./...

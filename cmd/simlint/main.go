@@ -14,7 +14,7 @@
 //	rand        — math/rand misuse: unseeded global draws, or seeds that
 //	              are neither constants nor processor-ID derived
 //	maprange    — map iteration leaking order into results
-//	goroutine   — go statements outside internal/engine
+//	goroutine   — go statements (processors run as engine coroutines)
 //	floatclock  — float accumulation into Clock/counter fields
 //	hashexclude — core.Config fields out of step with HashExcludedFields,
 //	              the declared config-hash exclusion set

@@ -1,15 +1,18 @@
+//go:build go1.23
+
 // Package engine implements the deterministic discrete-event core of the
 // clustered-multiprocessor simulator, in the style of Tango-lite: every
-// simulated processor runs its workload on its own goroutine, but exactly
-// one goroutine executes at any instant. The token of execution is handed
-// directly from processor to processor so that references to the shared
-// memory-system model are always performed in global virtual-time order.
+// simulated processor runs its workload as a coroutine, and one driver
+// loop resumes exactly one of them at a time. A processor suspends back
+// to the driver whenever it must wait for others, naming the next
+// processor to resume, so that references to the shared memory-system
+// model are always performed in global virtual-time order.
 //
 // The scheduling invariant is: the running processor may only perform an
 // event while its virtual clock is within Quantum cycles of the minimum
 // clock over all other runnable processors. With Quantum = 0 (the default)
 // event ordering is exact; larger values trade bounded timing skew for
-// fewer goroutine handoffs on large parameter sweeps.
+// fewer coroutine switches on large parameter sweeps.
 //
 // Ties in virtual time are broken by processor ID, so simulations are
 // bit-reproducible.
@@ -17,10 +20,10 @@ package engine
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Clock counts simulated processor cycles.
@@ -29,33 +32,32 @@ type Clock = int64
 type runState uint8
 
 const (
-	stateReady    runState = iota // in the ready heap, waiting for the token
-	stateRunning                  // holds the token
+	stateReady    runState = iota // in the ready heap, waiting to be resumed
+	stateRunning                  // the coroutine the driver is resuming
 	stateBlocked                  // parked on a synchronisation object
 	stateFinished                 // kernel returned
 )
 
-type tokenMsg struct{ abort bool }
-
 // Probe observes scheduler-internal events: it is the engine half of the
-// telemetry layer. All callbacks arrive from the goroutine holding the
-// execution token, in global virtual-time order, so implementations need
-// no locking. A nil probe costs one predictable branch per handoff.
+// telemetry layer. Callbacks arrive one at a time from the running
+// processor (or the driver loop, for the initial dispatch), in global
+// virtual-time order, so implementations need no locking. A nil probe
+// costs one predictable branch per handoff.
 type Probe interface {
-	// Handoff fires every time the execution token changes hands. from
-	// is the yielding processor (-1 for the initial dispatch), to the
-	// resuming one; fromTime and toTime are their virtual clocks and
-	// readyDepth is the ready-heap population after the pop. The skew
-	// fromTime-toTime is the quantum slack actually exploited.
+	// Handoff fires every time execution passes to another processor.
+	// from is the suspending processor (-1 for the initial dispatch),
+	// to the resuming one; fromTime and toTime are their virtual clocks
+	// and readyDepth is the ready-heap population after the pop. The
+	// skew fromTime-toTime is the quantum slack actually exploited.
 	Handoff(from, to int, fromTime, toTime Clock, readyDepth int)
 }
 
 // Timer observes where the host's wall-clock time goes — the engine
-// half of the perf monitor. EnterSched fires when the running goroutine
-// begins token-handoff machinery (heap maintenance, the channel send
-// and the goroutine switch it triggers); EnterApp fires when a PE
-// resumes application execution after receiving the token. Exactly one
-// goroutine executes at a time, so calls arrive strictly ordered and
+// half of the perf monitor. EnterSched fires when the running processor
+// begins handoff machinery (ready-heap maintenance and the coroutine
+// switches through the driver loop to the next processor); EnterApp
+// fires when a processor resumes application execution. Exactly one
+// coroutine executes at a time, so calls arrive strictly ordered and
 // implementations need no locking. A nil timer costs one predictable
 // branch per handoff.
 type Timer interface {
@@ -63,20 +65,22 @@ type Timer interface {
 	EnterApp()
 }
 
-// abortPanic unwinds a processor goroutine during simulation shutdown.
+// abortPanic unwinds a processor's coroutine during simulation shutdown.
 type abortPanic struct{}
 
 // PE is a simulated processing element. All of its methods must be called
-// only from the goroutine running that PE's kernel, while it holds the
-// execution token; the Scheduler enforces this by construction.
+// only from the coroutine running that PE's kernel, while the driver is
+// resuming it; the Scheduler enforces this by construction.
 type PE struct {
-	id      int
-	sched   *Scheduler
-	time    Clock
-	state   runState
-	token   chan tokenMsg
-	heapIdx int
-	reason  string // why blocked, for deadlock reports
+	id     int
+	sched  *Scheduler
+	time   Clock
+	state  runState
+	reason string // why blocked, for deadlock reports
+
+	resume func() (struct{}, bool) // runs the coroutine until it suspends
+	stop   func()                  // makes a pending suspend unwind
+	yield  func(struct{}) bool     // suspends back to the driver loop
 }
 
 // ID returns the processor number, in [0, NumPE).
@@ -102,25 +106,21 @@ func (pe *PE) SetTime(at Clock) {
 	}
 }
 
-// Yield hands the execution token to other processors until this PE's
-// clock is within the scheduler's quantum of the minimum runnable clock.
-// It must be called before every event that touches shared simulator
-// state, so that such events occur in virtual-time order.
+// Yield suspends the processor in favour of others until its clock is
+// within the scheduler's quantum of the minimum runnable clock. It must
+// be called before every event that touches shared simulator state, so
+// that such events occur in virtual-time order.
 func (pe *PE) Yield() {
 	s := pe.sched
 	for len(s.heap) > 0 && s.heap[0].time+s.quantum < pe.time {
 		if s.timer != nil {
 			s.timer.EnterSched()
 		}
+		// heap[0] orders strictly before pe, so it stays the minimum
+		// once pe takes its slot.
 		pe.state = stateReady
-		s.heapPush(pe)
-		next := s.heapPopMin()
-		next.state = stateRunning
-		if s.probe != nil {
-			s.probe.Handoff(pe.id, next.id, pe.time, next.time, len(s.heap))
-		}
-		next.token <- tokenMsg{}
-		pe.wait()
+		s.handoff(pe, s.heapReplaceTop(pe))
+		pe.suspend()
 	}
 }
 
@@ -130,15 +130,15 @@ func (pe *PE) Yield() {
 func (pe *PE) Block(reason string) {
 	pe.state = stateBlocked
 	pe.reason = reason
-	pe.sched.dispatchNext(pe)
-	pe.wait()
+	pe.sched.dispatch(pe)
+	pe.suspend()
 	pe.reason = ""
 }
 
 // Unblock resumes target, which must be blocked, setting its clock to at
 // if that is later than its current clock. The caller keeps running; the
-// target becomes runnable and receives the token when its clock is
-// globally minimal.
+// target becomes runnable and is resumed when its clock is globally
+// minimal.
 func (pe *PE) Unblock(target *PE, at Clock) {
 	if target.state != stateBlocked {
 		panic(fmt.Sprintf("engine: PE %d unblocked PE %d which is not blocked", pe.id, target.id))
@@ -151,14 +151,14 @@ func (pe *PE) Unblock(target *PE, at Clock) {
 // Fail aborts the whole simulation with err. It does not return.
 func (pe *PE) Fail(err error) {
 	pe.sched.fail(err)
+	panic(abortPanic{})
 }
 
-// wait parks until the token arrives, unwinding on abort. Receiving the
-// token resumes application execution, which is where the handoff span
+// suspend returns control to the driver loop until it resumes this PE,
+// unwinding if the run ends first. Resuming is where the handoff span
 // opened by EnterSched ends.
-func (pe *PE) wait() {
-	msg := <-pe.token
-	if msg.abort {
+func (pe *PE) suspend() {
+	if !pe.yield(struct{}{}) {
 		panic(abortPanic{})
 	}
 	if pe.sched.timer != nil {
@@ -169,14 +169,14 @@ func (pe *PE) wait() {
 // Scheduler owns the processors of one simulation run.
 type Scheduler struct {
 	pes       []*PE
-	heap      []*PE
+	heap      []readyEntry
+	next      *PE // processor the driver resumes next; nil ends the run
 	quantum   Clock
 	nFinished int
 	probe     Probe
 	timer     Timer
 	label     string // workload name, for panic diagnostics
 	err       error
-	mu        sync.Mutex // guards err on the kernel-panic path only
 }
 
 // NewScheduler creates a scheduler for n processors with the given
@@ -188,10 +188,12 @@ func NewScheduler(n int, quantum Clock) *Scheduler {
 	if quantum < 0 {
 		panic("engine: negative quantum")
 	}
-	s := &Scheduler{quantum: quantum}
+	s := &Scheduler{quantum: quantum, heap: make([]readyEntry, 0, n)}
 	s.pes = make([]*PE, n)
+	pes := make([]PE, n)
 	for i := range s.pes {
-		s.pes[i] = &PE{id: i, sched: s, token: make(chan tokenMsg, 1), heapIdx: -1}
+		pes[i] = PE{id: i, sched: s}
+		s.pes[i] = &pes[i]
 	}
 	return s
 }
@@ -222,36 +224,16 @@ func (s *Scheduler) labelOrDefault() string {
 	return s.label
 }
 
-// Run executes kernel once per processor, each on its own goroutine, and
+// Run executes kernel once per processor, each as its own coroutine, and
 // returns when every kernel has finished or the simulation has failed.
 // It returns the first error (kernel panic, deadlock, or Fail call).
+// No coroutine outlives Run: on failure every suspended processor
+// unwinds, running its deferred functions, before Run returns.
 func (s *Scheduler) Run(kernel func(*PE)) error {
-	var wg sync.WaitGroup
 	for _, pe := range s.pes {
 		pe.state = stateReady
 		s.heapPush(pe)
-	}
-	for _, pe := range s.pes {
-		wg.Add(1)
-		go func(pe *PE) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(abortPanic); ok {
-						return
-					}
-					// Annotate with the crash site's simulation coordinates
-					// (workload, PE, virtual time) so a failure is
-					// diagnosable — and, with a seeded fault plan,
-					// replayable — from the error alone.
-					s.failFromPanic(fmt.Errorf("engine: app %q: processor %d panicked at virtual time %d: %v\n%s",
-						s.labelOrDefault(), pe.id, pe.time, r, debug.Stack()))
-				}
-			}()
-			pe.wait()
-			kernel(pe)
-			s.finish(pe)
-		}(pe)
+		pe.resume, pe.stop = iter.Pull(s.coroutine(pe, kernel))
 	}
 	if s.timer != nil {
 		s.timer.EnterSched() // initial dispatch is scheduling work
@@ -261,9 +243,43 @@ func (s *Scheduler) Run(kernel func(*PE)) error {
 	if s.probe != nil {
 		s.probe.Handoff(-1, first.id, 0, first.time, len(s.heap))
 	}
-	first.token <- tokenMsg{}
-	wg.Wait()
+	for pe := first; pe != nil; pe = s.next {
+		s.next = nil
+		pe.resume()
+	}
+	for _, pe := range s.pes {
+		pe.stop()
+	}
 	return s.err
+}
+
+// coroutine wraps kernel for pe: it starts on pe's first resume, hands
+// on when the kernel returns, and turns a kernel panic into the run's
+// error.
+func (s *Scheduler) coroutine(pe *PE, kernel func(*PE)) iter.Seq[struct{}] {
+	return func(yield func(struct{}) bool) {
+		pe.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(abortPanic); ok {
+					return
+				}
+				// Annotate with the crash site's simulation coordinates
+				// (workload, PE, virtual time) so a failure is
+				// diagnosable — and, with a seeded fault plan,
+				// replayable — from the error alone.
+				s.fail(fmt.Errorf("engine: app %q: processor %d panicked at virtual time %d: %v\n%s",
+					s.labelOrDefault(), pe.id, pe.time, r, debug.Stack()))
+			}
+		}()
+		if s.timer != nil {
+			s.timer.EnterApp()
+		}
+		kernel(pe)
+		pe.state = stateFinished
+		s.nFinished++
+		s.dispatch(pe)
+	}
 }
 
 // Times returns the final virtual clock of every processor.
@@ -275,34 +291,36 @@ func (s *Scheduler) Times() []Clock {
 	return out
 }
 
-// finish marks the running PE's kernel as complete and hands the token on.
-func (s *Scheduler) finish(pe *PE) {
-	pe.state = stateFinished
-	s.nFinished++
-	s.dispatchNext(pe)
-}
-
-// dispatchNext passes the token to the minimum-clock runnable processor.
-// If none is runnable and not all have finished, the simulation is
-// deadlocked. The caller's goroutine keeps running (it is finishing or
-// about to park in wait).
-func (s *Scheduler) dispatchNext(from *PE) {
+// dispatch chooses the minimum-clock runnable processor to resume after
+// from stops running. If none is runnable and not all have finished, the
+// simulation is deadlocked.
+func (s *Scheduler) dispatch(from *PE) {
 	if s.timer != nil {
 		s.timer.EnterSched()
 	}
 	if len(s.heap) > 0 {
-		next := s.heapPopMin()
-		next.state = stateRunning
-		if s.probe != nil {
-			s.probe.Handoff(from.id, next.id, from.time, next.time, len(s.heap))
-		}
-		next.token <- tokenMsg{}
-		return
+		s.handoff(from, s.heapPopMin())
+	} else if s.nFinished < len(s.pes) {
+		s.fail(s.deadlockError())
 	}
-	if s.nFinished == len(s.pes) {
-		return // clean completion: every goroutine exits on its own
+}
+
+// handoff makes next the processor the driver resumes once from suspends.
+func (s *Scheduler) handoff(from, next *PE) {
+	next.state = stateRunning
+	if s.probe != nil {
+		s.probe.Handoff(from.id, next.id, from.time, next.time, len(s.heap))
 	}
-	s.fail(s.deadlockError())
+	s.next = next
+}
+
+// fail records err if it is the first, and ends the driver loop once
+// the running processor suspends or unwinds.
+func (s *Scheduler) fail(err error) {
+	if s.err == nil {
+		s.err = err
+	}
+	s.next = nil
 }
 
 func (s *Scheduler) deadlockError() error {
@@ -322,92 +340,72 @@ func (s *Scheduler) deadlockError() error {
 	return fmt.Errorf("%s", b.String())
 }
 
-// fail records err, aborts every other live processor, and unwinds the
-// calling goroutine. It does not return.
-func (s *Scheduler) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-	s.abortOthers()
-	panic(abortPanic{})
-}
-
-// failFromPanic is fail for the recover path, where we must not re-panic.
-func (s *Scheduler) failFromPanic(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
-	s.abortOthers()
-}
-
-func (s *Scheduler) abortOthers() {
-	for _, pe := range s.pes {
-		if pe.state == stateRunning || pe.state == stateFinished {
-			continue
-		}
-		pe.token <- tokenMsg{abort: true}
-	}
-}
-
 // --- ready heap, ordered by (time, id) --------------------------------
 
-func peLess(a, b *PE) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.id < b.id
+// readyEntry is a runnable processor in the ready heap. A ready
+// processor does not run, so its clock cannot change while it waits and
+// the heap can hold a copy of it, keeping sifts within one array.
+type readyEntry struct {
+	time Clock
+	id   int
+}
+
+func (a readyEntry) less(b readyEntry) bool {
+	return a.time < b.time || (a.time == b.time && a.id < b.id)
 }
 
 func (s *Scheduler) heapPush(pe *PE) {
-	s.heap = append(s.heap, pe)
+	e := readyEntry{pe.time, pe.id}
+	s.heap = append(s.heap, e)
 	i := len(s.heap) - 1
-	pe.heapIdx = i
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !peLess(s.heap[i], s.heap[parent]) {
+		if !e.less(s.heap[parent]) {
 			break
 		}
-		s.heapSwap(i, parent)
+		s.heap[i] = s.heap[parent]
 		i = parent
 	}
+	s.heap[i] = e
 }
 
 func (s *Scheduler) heapPopMin() *PE {
 	min := s.heap[0]
 	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap[0].heapIdx = 0
+	e := s.heap[last]
 	s.heap = s.heap[:last]
-	min.heapIdx = -1
-	s.siftDown(0)
-	return min
-}
-
-func (s *Scheduler) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && peLess(s.heap[left], s.heap[smallest]) {
-			smallest = left
-		}
-		if right < n && peLess(s.heap[right], s.heap[smallest]) {
-			smallest = right
-		}
-		if smallest == i {
-			return
-		}
-		s.heapSwap(i, smallest)
-		i = smallest
+	if last > 0 {
+		s.siftDown(e)
 	}
+	return s.pes[min.id]
 }
 
-func (s *Scheduler) heapSwap(i, j int) {
-	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.heap[i].heapIdx = i
-	s.heap[j].heapIdx = j
+// heapReplaceTop swaps pe in for the minimum and returns the old
+// minimum: one sift instead of a push followed by a pop.
+func (s *Scheduler) heapReplaceTop(pe *PE) *PE {
+	min := s.heap[0]
+	s.siftDown(readyEntry{pe.time, pe.id})
+	return s.pes[min.id]
+}
+
+// siftDown places e in the heap, whose root slot it takes over, moving
+// smaller children up into the hole until e fits.
+func (s *Scheduler) siftDown(e readyEntry) {
+	h := s.heap
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }

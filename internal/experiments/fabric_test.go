@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -297,7 +299,11 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		Obs:          fabric.NewObs(nil, evlog),
 	})
 	view.SetSource(coord.FleetWorkers)
-	go coord.Serve(net.Listener()) //simlint:allow goroutine — test harness
+	served := make(chan struct{})
+	go func() { //simlint:allow goroutine — test harness
+		defer close(served)
+		coord.Serve(net.Listener())
+	}()
 
 	// Each worker runs its own obs plane: a sweep feeding a local event
 	// log whose mirror buffers spans for piggybacked shipment.
@@ -306,6 +312,48 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		buf := fleet.NewSpanBuffer()
 		wlog.SetMirror(buf.Observe)
 		return obs.NewSweep("worker-"+id, nil, wlog), buf
+	}
+
+	// Every harness goroutine is joined before the test returns, and
+	// none of them calls t.Fatal: a worker start reports its dial error.
+	var workers sync.WaitGroup
+	startWorker := func(id string, spans *fleet.SpanBuffer, run fabric.Runner) error {
+		conn, err := net.Dial(id)
+		if err != nil {
+			return fmt.Errorf("dial %s: %w", id, err)
+		}
+		w := fabric.NewWorker(fabric.WorkerConfig{
+			ID: id, Heartbeat: 30 * time.Millisecond,
+			Run: run, Spans: spans.Drain,
+		})
+		workers.Add(1)
+		go func() { //simlint:allow goroutine — test harness
+			defer workers.Done()
+			w.RunConn(conn)
+		}()
+		return nil
+	}
+	// rejoin restarts a worker wait after trigger fires, unless the sweep
+	// finishes first; the returned channel carries the restart's error.
+	sweepDone := make(chan struct{})
+	rejoin := func(trigger <-chan struct{}, wait time.Duration, restart func() error) <-chan error {
+		errc := make(chan error, 1)
+		go func() { //simlint:allow goroutine — test harness
+			select {
+			case <-trigger:
+			case <-sweepDone:
+				errc <- nil
+				return
+			}
+			select {
+			case <-time.After(wait): //simlint:allow wallclock — restart delay
+			case <-sweepDone:
+				errc <- nil
+				return
+			}
+			errc <- restart()
+		}()
+		return errc
 	}
 
 	// Worker 1 crashes right after its second fresh completion; its
@@ -319,18 +367,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	var w1Done int32
 	crashOnce := sync.Once{}
 	crashed := make(chan struct{})
-	startW1 := func(run fabric.Runner) {
-		conn, err := net.Dial("w1")
-		if err != nil {
-			t.Fatalf("dial w1: %v", err)
-		}
-		w := fabric.NewWorker(fabric.WorkerConfig{
-			ID: "w1", Heartbeat: 30 * time.Millisecond,
-			Run: run, Spans: w1Spans.Drain,
-		})
-		go w.RunConn(conn) //simlint:allow goroutine — test harness
-	}
-	startW1(func(spec fabric.PointSpec) (*core.Result, bool, error) {
+	if err := startWorker("w1", w1Spans, func(spec fabric.PointSpec) (*core.Result, bool, error) {
 		res, resumed, err := w1Inner(spec)
 		if err == nil && !resumed && atomic.AddInt32(&w1Done, 1) == 2 {
 			crashOnce.Do(func() {
@@ -339,12 +376,12 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 			})
 		}
 		return res, resumed, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w1Restarted := rejoin(crashed, 50*time.Millisecond, func() error {
+		return startWorker("w1", w1Spans, w1Inner)
 	})
-	go func() { //simlint:allow goroutine — test harness
-		<-crashed
-		time.Sleep(50 * time.Millisecond) //simlint:allow wallclock — restart delay
-		startW1(w1Inner)
-	}()
 
 	// Worker 2 is partitioned (black-holed, conn nominally up) after its
 	// second fresh completion, long enough for the coordinator to declare
@@ -358,18 +395,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	var w2Done int32
 	partOnce := sync.Once{}
 	partitioned := make(chan struct{})
-	startW2 := func(run fabric.Runner) {
-		conn, err := net.Dial("w2")
-		if err != nil {
-			t.Fatalf("dial w2: %v", err)
-		}
-		w := fabric.NewWorker(fabric.WorkerConfig{
-			ID: "w2", Heartbeat: 30 * time.Millisecond,
-			Run: run, Spans: w2Spans.Drain,
-		})
-		go w.RunConn(conn) //simlint:allow goroutine — test harness
-	}
-	startW2(func(spec fabric.PointSpec) (*core.Result, bool, error) {
+	if err := startWorker("w2", w2Spans, func(spec fabric.PointSpec) (*core.Result, bool, error) {
 		res, resumed, err := w2Inner(spec)
 		if err == nil && !resumed && atomic.AddInt32(&w2Done, 1) == 2 {
 			partOnce.Do(func() {
@@ -378,17 +404,32 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 			})
 		}
 		return res, resumed, err
-	})
-	go func() { //simlint:allow goroutine — test harness
-		<-partitioned
-		// Outlast DeadAfter so the silence is noticed and the leases move.
-		time.Sleep(400 * time.Millisecond) //simlint:allow wallclock — partition window
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Outlast DeadAfter so the silence is noticed and the leases move.
+	w2Healed := rejoin(partitioned, 400*time.Millisecond, func() error {
 		net.Heal("w2")
-		startW2(w2Inner)
-	}()
+		return startWorker("w2", w2Spans, w2Inner)
+	})
 
-	if _, err := coord.Run(specs); err != nil {
-		t.Fatalf("distributed sweep: %v", err)
+	_, runErr := coord.Run(specs)
+	close(sweepDone)
+	for _, errc := range []<-chan error{w1Restarted, w2Healed} {
+		// A restart that lost the race with the fleet's drain finds the
+		// network closed; any other dial failure is a harness fault.
+		if err := <-errc; err != nil && !errors.Is(err, fabric.ErrNetClosed) {
+			t.Errorf("worker restart: %v", err)
+		}
+	}
+	// Sever what links remain (a still-partitioned w2, or a worker whose
+	// Drain frame the chaos dropped), then wait for every worker.
+	net.Crash("w1")
+	net.Crash("w2")
+	workers.Wait()
+	<-served
+	if runErr != nil {
+		t.Fatalf("distributed sweep: %v", runErr)
 	}
 
 	// Tables byte-identical, zero fresh simulations on render.

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -250,13 +251,17 @@ func (c *simConn) crash() {
 
 func (c *simConn) RemoteName() string { return c.remote }
 
+// ErrNetClosed is returned by Dial once the coordinator's listener has
+// closed, which a coordinator does when it drains the fleet.
+var ErrNetClosed = errors.New("fabric: simnet closed")
+
 // Dial connects a named worker to the coordinator's listener. Redialing
 // an existing name (a restarted worker) severs the stale link first.
 func (n *Net) Dial(name string) (Conn, error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return nil, fmt.Errorf("fabric: simnet closed")
+		return nil, ErrNetClosed
 	}
 	if old := n.links[name]; old != nil {
 		old.worker.crash()

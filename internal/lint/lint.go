@@ -21,9 +21,10 @@
 //	             no plain assignments to outer state, no float
 //	             accumulation. Integer += accumulation (commutative) and
 //	             map writes keyed by the range key are allowed.
-//	goroutine  — go statements are allowed only inside internal/engine;
-//	             everywhere else they would break the one-goroutine-at-a-
-//	             time token discipline.
+//	goroutine  — go statements are banned: the engine runs simulated
+//	             processors as coroutines resumed one at a time, and a
+//	             goroutine would run beside them; harness code annotates
+//	             its spawns //simlint:allow goroutine.
 //	floatclock — floating-point values must not accumulate into Clock or
 //	             counter fields: int64(f)/Clock(f) inside a += or a
 //	             self-referencing assignment silently injects rounding
@@ -99,7 +100,7 @@ var RuleIndex = []RuleInfo{
 	{RuleWallclock, "wall-clock reads (time.Now/Since/...) must not feed simulated state"},
 	{RuleRand, "math/rand must be seeded with a constant or a processor-ID-derived value"},
 	{RuleMapRange, "map iteration order must not leak into results"},
-	{RuleGoroutine, "go statements are allowed only inside internal/engine"},
+	{RuleGoroutine, "go statements are banned; processors run as engine coroutines"},
 	{RuleFloatClock, "floating-point values must not accumulate into virtual-time counters"},
 	{RuleHashExclude, "core.Config fields outside the config hash must be json:\"-\" and declared in HashExcludedFields"},
 	{RuleReadonly, "observer packages must not mutate core simulation state"},
@@ -167,9 +168,9 @@ type Package struct {
 
 // simulationPackages are the import-path segments under
 // clustersim/internal/ whose state is part of the simulation proper.
-// Rule docs refer to these; wallclock/rand/maprange/floatclock apply to
-// every scanned package (the determinism argument extends to the
-// harness), goroutine exempts only the engine.
+// Rule docs refer to these; wallclock/rand/maprange/goroutine/floatclock
+// apply to every scanned package (the determinism argument extends to
+// the harness).
 var simulationPackages = []string{
 	"engine", "core", "cache", "coherence", "directory", "memory", "apps",
 }

@@ -20,8 +20,7 @@ type dirSpec struct {
 // fixtureCases lists the corpus: each case's directories are loaded in
 // order with one Loader (so later fixtures can import earlier ones —
 // how the cross-package contract rules are exercised) and checked
-// together with CheckModule. goroutine/goroutine_engine share their
-// source shape but differ in path — the rule keys off the path.
+// together with CheckModule.
 var fixtureCases = []struct {
 	name string
 	dirs []dirSpec
@@ -29,8 +28,7 @@ var fixtureCases = []struct {
 	{"wallclock", []dirSpec{{"wallclock", "clustersim/internal/core"}}},
 	{"randseed", []dirSpec{{"randseed", "clustersim/internal/apps/randfix"}}},
 	{"maprange", []dirSpec{{"maprange", "clustersim/internal/coherence"}}},
-	{"goroutine", []dirSpec{{"goroutine", "clustersim/internal/coherence"}}},
-	{"goroutine_engine", []dirSpec{{"goroutine_engine", "clustersim/internal/engine"}}},
+	{"goroutine", []dirSpec{{"goroutine", "clustersim/internal/engine"}}},
 	{"floatclock", []dirSpec{{"floatclock", "clustersim/internal/core"}}},
 	{"syncname", []dirSpec{{"syncname", "clustersim/internal/apps/syncfix"}}},
 	{"hashexclude", []dirSpec{

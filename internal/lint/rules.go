@@ -170,11 +170,8 @@ func containsIDCall(e ast.Expr) bool {
 // --- rule: goroutine ---------------------------------------------------
 
 func (fc *fileChecker) checkGo(g *ast.GoStmt) {
-	if fc.pkg.Path == "clustersim/internal/engine" {
-		return
-	}
 	fc.report(RuleGoroutine, g.Pos(),
-		"go statement outside internal/engine breaks the one-goroutine-at-a-time token discipline")
+		"go statement breaks the one-processor-at-a-time execution discipline (the engine runs processors as coroutines)")
 }
 
 // --- rule: maprange ----------------------------------------------------

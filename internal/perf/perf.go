@@ -34,7 +34,7 @@ const (
 	// issue side of every memory reference.
 	PhaseApp Phase = iota
 	// PhaseSched is the engine's token-handoff machinery: ready-heap
-	// maintenance, the channel handoff and the goroutine switch it
+	// maintenance and the coroutine switches through the driver loop it
 	// triggers.
 	PhaseSched
 	// PhaseCoherence is the memory-system model: cluster cache lookup,
