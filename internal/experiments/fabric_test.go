@@ -146,7 +146,12 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 		OnFailure:    onFailure,
 		Obs:          fabric.NewObs(nil, evlog),
 	})
-	go coord.Serve(net.Listener()) //simlint:allow goroutine — test harness
+	served := make(chan struct{})
+	go func() { //simlint:allow goroutine — test harness
+		defer close(served)
+		coord.Serve(net.Listener())
+	}()
+	fl := newSimFleet(net)
 
 	// Worker 1 crashes right after its second completion lands in its
 	// local journal; its restart must resume from that journal.
@@ -158,61 +163,36 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 	crashOnce := sync.Once{}
 	crashed := make(chan struct{})
 	w1Inner := FabricRunner(w1Journal, 0, nil, nil)
-	startW1 := func() {
-		conn, err := net.Dial("w1")
-		if err != nil {
-			t.Fatalf("dial w1: %v", err)
+	if err := fl.start("w1", nil, func(spec fabric.PointSpec) (*core.Result, bool, error) {
+		res, resumed, err := w1Inner(spec)
+		if err == nil && !resumed && atomic.AddInt32(&w1Done, 1) == 2 {
+			crashOnce.Do(func() {
+				net.Crash("w1")
+				close(crashed)
+			})
 		}
-		w := fabric.NewWorker(fabric.WorkerConfig{
-			ID: "w1", Heartbeat: 30 * time.Millisecond,
-			Run: func(spec fabric.PointSpec) (*core.Result, bool, error) {
-				res, resumed, err := w1Inner(spec)
-				if err == nil && !resumed && atomic.AddInt32(&w1Done, 1) == 2 {
-					crashOnce.Do(func() {
-						net.Crash("w1")
-						close(crashed)
-					})
-				}
-				return res, resumed, err
-			},
-		})
-		go w.RunConn(conn) //simlint:allow goroutine — test harness
+		return res, resumed, err
+	}); err != nil {
+		t.Fatal(err)
 	}
+	// Restart w1 after its scripted crash.
+	w1Restarted := fl.rejoin(crashed, 50*time.Millisecond, func() error {
+		return fl.start("w1", nil, w1Inner)
+	})
 
 	w2Journal, err := OpenJournal(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	startW2 := func() {
-		conn, err := net.Dial("w2")
-		if err != nil {
-			t.Fatalf("dial w2: %v", err)
-		}
-		w := fabric.NewWorker(fabric.WorkerConfig{
-			ID: "w2", Heartbeat: 30 * time.Millisecond,
-			Run: FabricRunner(w2Journal, 0, nil, nil),
-		})
-		go w.RunConn(conn) //simlint:allow goroutine — test harness
+	if err := fl.start("w2", nil, FabricRunner(w2Journal, 0, nil, nil)); err != nil {
+		t.Fatal(err)
 	}
 
-	startW1()
-	startW2()
-	// Restart w1 after its scripted crash.
-	go func() { //simlint:allow goroutine — test harness
-		<-crashed
-		time.Sleep(50 * time.Millisecond) //simlint:allow wallclock — restart delay
-		conn, err := net.Dial("w1")
-		if err != nil {
-			return
-		}
-		w := fabric.NewWorker(fabric.WorkerConfig{
-			ID: "w1", Heartbeat: 30 * time.Millisecond, Run: w1Inner,
-		})
-		go w.RunConn(conn) //simlint:allow goroutine — test harness
-	}()
-
-	if _, err := coord.Run(specs); err != nil {
-		t.Fatalf("distributed sweep: %v", err)
+	_, runErr := coord.Run(specs)
+	fl.stop(t, []<-chan error{w1Restarted}, "w1", "w2")
+	<-served
+	if runErr != nil {
+		t.Fatalf("distributed sweep: %v", runErr)
 	}
 
 	// Render from the coordinator's journal: zero fresh simulations,
@@ -314,47 +294,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		return obs.NewSweep("worker-"+id, nil, wlog), buf
 	}
 
-	// Every harness goroutine is joined before the test returns, and
-	// none of them calls t.Fatal: a worker start reports its dial error.
-	var workers sync.WaitGroup
-	startWorker := func(id string, spans *fleet.SpanBuffer, run fabric.Runner) error {
-		conn, err := net.Dial(id)
-		if err != nil {
-			return fmt.Errorf("dial %s: %w", id, err)
-		}
-		w := fabric.NewWorker(fabric.WorkerConfig{
-			ID: id, Heartbeat: 30 * time.Millisecond,
-			Run: run, Spans: spans.Drain,
-		})
-		workers.Add(1)
-		go func() { //simlint:allow goroutine — test harness
-			defer workers.Done()
-			w.RunConn(conn)
-		}()
-		return nil
-	}
-	// rejoin restarts a worker wait after trigger fires, unless the sweep
-	// finishes first; the returned channel carries the restart's error.
-	sweepDone := make(chan struct{})
-	rejoin := func(trigger <-chan struct{}, wait time.Duration, restart func() error) <-chan error {
-		errc := make(chan error, 1)
-		go func() { //simlint:allow goroutine — test harness
-			select {
-			case <-trigger:
-			case <-sweepDone:
-				errc <- nil
-				return
-			}
-			select {
-			case <-time.After(wait): //simlint:allow wallclock — restart delay
-			case <-sweepDone:
-				errc <- nil
-				return
-			}
-			errc <- restart()
-		}()
-		return errc
-	}
+	fl := newSimFleet(net)
 
 	// Worker 1 crashes right after its second fresh completion; its
 	// restart resumes from its journal.
@@ -367,7 +307,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	var w1Done int32
 	crashOnce := sync.Once{}
 	crashed := make(chan struct{})
-	if err := startWorker("w1", w1Spans, func(spec fabric.PointSpec) (*core.Result, bool, error) {
+	if err := fl.start("w1", w1Spans.Drain, func(spec fabric.PointSpec) (*core.Result, bool, error) {
 		res, resumed, err := w1Inner(spec)
 		if err == nil && !resumed && atomic.AddInt32(&w1Done, 1) == 2 {
 			crashOnce.Do(func() {
@@ -379,8 +319,8 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	w1Restarted := rejoin(crashed, 50*time.Millisecond, func() error {
-		return startWorker("w1", w1Spans, w1Inner)
+	w1Restarted := fl.rejoin(crashed, 50*time.Millisecond, func() error {
+		return fl.start("w1", w1Spans.Drain, w1Inner)
 	})
 
 	// Worker 2 is partitioned (black-holed, conn nominally up) after its
@@ -395,7 +335,7 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	var w2Done int32
 	partOnce := sync.Once{}
 	partitioned := make(chan struct{})
-	if err := startWorker("w2", w2Spans, func(spec fabric.PointSpec) (*core.Result, bool, error) {
+	if err := fl.start("w2", w2Spans.Drain, func(spec fabric.PointSpec) (*core.Result, bool, error) {
 		res, resumed, err := w2Inner(spec)
 		if err == nil && !resumed && atomic.AddInt32(&w2Done, 1) == 2 {
 			partOnce.Do(func() {
@@ -408,25 +348,13 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Outlast DeadAfter so the silence is noticed and the leases move.
-	w2Healed := rejoin(partitioned, 400*time.Millisecond, func() error {
+	w2Healed := fl.rejoin(partitioned, 400*time.Millisecond, func() error {
 		net.Heal("w2")
-		return startWorker("w2", w2Spans, w2Inner)
+		return fl.start("w2", w2Spans.Drain, w2Inner)
 	})
 
 	_, runErr := coord.Run(specs)
-	close(sweepDone)
-	for _, errc := range []<-chan error{w1Restarted, w2Healed} {
-		// A restart that lost the race with the fleet's drain finds the
-		// network closed; any other dial failure is a harness fault.
-		if err := <-errc; err != nil && !errors.Is(err, fabric.ErrNetClosed) {
-			t.Errorf("worker restart: %v", err)
-		}
-	}
-	// Sever what links remain (a still-partitioned w2, or a worker whose
-	// Drain frame the chaos dropped), then wait for every worker.
-	net.Crash("w1")
-	net.Crash("w2")
-	workers.Wait()
+	fl.stop(t, []<-chan error{w1Restarted, w2Healed}, "w1", "w2")
 	<-served
 	if runErr != nil {
 		t.Fatalf("distributed sweep: %v", runErr)
@@ -526,4 +454,78 @@ func TestFleetTimelineCompleteUnderChaos(t *testing.T) {
 	if kinds[fabric.EventResult] != len(specs) {
 		t.Errorf("%d first completions, want %d; kinds = %v", kinds[fabric.EventResult], len(specs), kinds)
 	}
+}
+
+// simFleet starts fabric workers on a simulated network for the chaos
+// keystones. Every goroutine it starts is joined by stop, and none of
+// them calls t.Fatal: a worker start and a restart report their dial
+// error instead.
+type simFleet struct {
+	net       *fabric.Net
+	workers   sync.WaitGroup
+	sweepDone chan struct{}
+}
+
+func newSimFleet(net *fabric.Net) *simFleet {
+	return &simFleet{net: net, sweepDone: make(chan struct{})}
+}
+
+// start dials the coordinator as worker id and serves its connection.
+func (f *simFleet) start(id string, spans func(int) []obs.Event, run fabric.Runner) error {
+	conn, err := f.net.Dial(id)
+	if err != nil {
+		return fmt.Errorf("dial %s: %w", id, err)
+	}
+	w := fabric.NewWorker(fabric.WorkerConfig{
+		ID: id, Heartbeat: 30 * time.Millisecond,
+		Run: run, Spans: spans,
+	})
+	f.workers.Add(1)
+	go func() { //simlint:allow goroutine — test harness
+		defer f.workers.Done()
+		w.RunConn(conn)
+	}()
+	return nil
+}
+
+// rejoin runs restart wait after trigger fires, unless the sweep
+// finishes first; the returned channel carries the restart's error.
+func (f *simFleet) rejoin(trigger <-chan struct{}, wait time.Duration, restart func() error) <-chan error {
+	errc := make(chan error, 1)
+	go func() { //simlint:allow goroutine — test harness
+		select {
+		case <-trigger:
+		case <-f.sweepDone:
+			errc <- nil
+			return
+		}
+		select {
+		case <-time.After(wait): //simlint:allow wallclock — restart delay
+		case <-f.sweepDone:
+			errc <- nil
+			return
+		}
+		errc <- restart()
+	}()
+	return errc
+}
+
+// stop, called once the sweep has returned, joins every restart and
+// every worker. It severs the links of ids first: a still-partitioned
+// worker, or one whose Drain frame the chaos dropped, would otherwise
+// never return.
+func (f *simFleet) stop(t *testing.T, restarts []<-chan error, ids ...string) {
+	t.Helper()
+	close(f.sweepDone)
+	for _, errc := range restarts {
+		// A restart that lost the race with the fleet's drain finds the
+		// network closed; any other dial failure is a harness fault.
+		if err := <-errc; err != nil && !errors.Is(err, fabric.ErrNetClosed) {
+			t.Errorf("worker restart: %v", err)
+		}
+	}
+	for _, id := range ids {
+		f.net.Crash(id)
+	}
+	f.workers.Wait()
 }

@@ -295,3 +295,28 @@ func mustHash(t *testing.T, cfg core.Config) string {
 	}
 	return h
 }
+
+// BenchmarkJournalLoad replays one journalled 64-processor point, the
+// unit of work of a journal-served render.
+func BenchmarkJournalLoad(b *testing.B) {
+	specs, err := PlanPoints([]string{"table7"}, Options{Procs: 64, Size: apps.SizeTest, Out: io.Discard})
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec := specs[0]
+	j, err := OpenJournal(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, err := FabricRunner(j, 0, nil, nil)(spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, ok, err := j.Load(spec.App, spec.Size, spec.ClusterSize, spec.CacheKB, spec.ConfigHash)
+		if err != nil || !ok || len(res.Procs) != 64 {
+			b.Fatalf("load %s: ok=%v err=%v", spec.Name(), ok, err)
+		}
+	}
+}

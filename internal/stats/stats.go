@@ -5,7 +5,12 @@
 // already prefetched), and synchronization wait time.
 package stats
 
-import "clustersim/internal/coherence"
+import (
+	"encoding/json"
+	"strconv"
+
+	"clustersim/internal/coherence"
+)
 
 // Breakdown is one processor's execution-time decomposition, in cycles.
 type Breakdown struct {
@@ -202,4 +207,145 @@ func (p Proc) Plus(o Proc) Proc {
 // Minus returns the difference of two per-processor records.
 func (p Proc) Minus(o Proc) Proc {
 	return Proc{Breakdown: p.Breakdown.Minus(o.Breakdown), Counters: p.Counters.Minus(o.Counters)}
+}
+
+// procFields has Proc's fields and none of its methods: the reflective
+// encoding/json decoding that UnmarshalJSON falls back to.
+type procFields Proc
+
+// UnmarshalJSON decodes the flat object encoding/json writes for a Proc
+// ({"CPU":17745,...,"IntraCluster":0}) without reflection: journal
+// replay and the fabric's result frames decode 64 of them per point.
+// Any input outside that shape (escaped, unknown or case-variant keys,
+// null, fractions, exponents, leading zeros, a sign on an unsigned
+// counter, overflow, bad separators or trailing bytes) is decoded by
+// encoding/json instead, so the value and the error are always exactly
+// what the reflective decoder gives. The encoder is unchanged.
+func (p *Proc) UnmarshalJSON(b []byte) error {
+	q := *p
+	if !q.decodeFlat(b) {
+		return json.Unmarshal(b, (*procFields)(p))
+	}
+	*p = q
+	return nil
+}
+
+// decodeFlat decodes b into p and reports whether b had the flat shape;
+// on false, p may hold part of b.
+func (p *Proc) decodeFlat(b []byte) bool {
+	i := skipSpace(b, 0)
+	if i == len(b) || b[i] != '{' {
+		return false
+	}
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == '}' {
+		return skipSpace(b, i+1) == len(b)
+	}
+	for {
+		// Key: an unescaped string naming one of the fields.
+		if i == len(b) || b[i] != '"' {
+			return false
+		}
+		k := i + 1
+		for k < len(b) && b[k] != '"' && b[k] != '\\' {
+			k++
+		}
+		if k == len(b) || b[k] != '"' {
+			return false
+		}
+		sf, uf := p.field(b[i+1 : k])
+		if sf == nil && uf == nil {
+			return false
+		}
+		i = skipSpace(b, k+1)
+		if i == len(b) || b[i] != ':' {
+			return false
+		}
+		i = skipSpace(b, i+1)
+
+		// Value: an integer literal (ParseUint refuses a sign).
+		start := i
+		if i < len(b) && b[i] == '-' {
+			i++
+		}
+		d := i
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			i++
+		}
+		if i == d || (b[d] == '0' && i-d > 1) {
+			return false
+		}
+		var err error
+		if sf != nil {
+			*sf, err = strconv.ParseInt(string(b[start:i]), 10, 64)
+		} else {
+			*uf, err = strconv.ParseUint(string(b[start:i]), 10, 64)
+		}
+		if err != nil {
+			return false
+		}
+
+		i = skipSpace(b, i)
+		if i == len(b) {
+			return false
+		}
+		switch b[i] {
+		case ',':
+			i = skipSpace(b, i+1)
+		case '}':
+			return skipSpace(b, i+1) == len(b)
+		default:
+			return false
+		}
+	}
+}
+
+// field returns the counter named by an exact JSON key.
+func (p *Proc) field(key []byte) (*int64, *uint64) {
+	switch string(key) {
+	case "CPU":
+		return &p.CPU, nil
+	case "LoadStall":
+		return &p.LoadStall, nil
+	case "MergeStall":
+		return &p.MergeStall, nil
+	case "SyncWait":
+		return &p.SyncWait, nil
+	case "Reads":
+		return nil, &p.Reads
+	case "Writes":
+		return nil, &p.Writes
+	case "ReadHits":
+		return nil, &p.ReadHits
+	case "WriteHits":
+		return nil, &p.WriteHits
+	case "ReadMisses":
+		return nil, &p.ReadMisses
+	case "WriteMisses":
+		return nil, &p.WriteMisses
+	case "Upgrades":
+		return nil, &p.Upgrades
+	case "Merges":
+		return nil, &p.Merges
+	case "WriteMerges":
+		return nil, &p.WriteMerges
+	case "LocalClean":
+		return nil, &p.LocalClean
+	case "LocalDirty":
+		return nil, &p.LocalDirty
+	case "RemoteClean":
+		return nil, &p.RemoteClean
+	case "RemoteDirty":
+		return nil, &p.RemoteDirty
+	case "IntraCluster":
+		return nil, &p.IntraCluster
+	}
+	return nil, nil
+}
+
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
 }
