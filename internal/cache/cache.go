@@ -10,7 +10,11 @@
 // MERGE miss and blocks until the data returns.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"clustersim/internal/linetab"
+)
 
 // Clock mirrors engine.Clock to avoid a dependency cycle.
 type Clock = int64
@@ -66,7 +70,7 @@ type Line struct {
 type Cache struct {
 	capacity int // lines; 0 means infinite
 	policy   ReplacePolicy
-	lines    map[uint64]*Line
+	lines    linetab.Map[*Line]
 	head     *Line // most recently used
 	tail     *Line // least recently used
 	free     *Line // recycled Line structs
@@ -80,24 +84,20 @@ func New(capacityLines int, policy ReplacePolicy) *Cache {
 	if capacityLines < 0 {
 		panic("cache: negative capacity")
 	}
-	return &Cache{
-		capacity: capacityLines,
-		policy:   policy,
-		lines:    make(map[uint64]*Line),
-	}
+	return &Cache{capacity: capacityLines, policy: policy}
 }
 
 // Capacity returns the line capacity (0 = infinite).
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the number of resident lines.
-func (c *Cache) Len() int { return len(c.lines) }
+func (c *Cache) Len() int { return c.lines.Len() }
 
 // Lookup returns the resident line for tag, or nil, resolving an expired
 // pending fill (now >= ReadyAt) to its final state first. It does not
 // update recency; call Touch on a hit.
 func (c *Cache) Lookup(tag uint64, now Clock) *Line {
-	l := c.lines[tag]
+	l := c.lines.Get(tag)
 	if l == nil {
 		return nil
 	}
@@ -112,7 +112,7 @@ func (c *Cache) Lookup(tag uint64, now Clock) *Line {
 // or updating recency — the sanitizer's non-mutating view. A pending
 // line whose ReadyAt has passed is still reported Pending; readers must
 // use FillState for its effective coherence state.
-func (c *Cache) Peek(tag uint64) *Line { return c.lines[tag] }
+func (c *Cache) Peek(tag uint64) *Line { return c.lines.Get(tag) }
 
 // Touch marks the line most recently used.
 func (c *Cache) Touch(l *Line) {
@@ -132,10 +132,10 @@ func (c *Cache) Touch(l *Line) {
 // send a writeback or replacement hint to the directory. Inserting a tag
 // that is already resident panics — callers must Lookup first.
 func (c *Cache) Insert(tag uint64, fillState State, now, readyAt Clock) (victim Line, evicted bool) {
-	if _, dup := c.lines[tag]; dup {
+	if c.lines.Get(tag) != nil {
 		panic(fmt.Sprintf("cache: duplicate insert of line %#x", tag))
 	}
-	if c.capacity != 0 && len(c.lines) >= c.capacity {
+	if c.capacity != 0 && c.lines.Len() >= c.capacity {
 		v := c.chooseVictim(now)
 		if v != nil {
 			victim = *v
@@ -150,7 +150,7 @@ func (c *Cache) Insert(tag uint64, fillState State, now, readyAt Clock) (victim 
 	l.Pending = true
 	l.ReadyAt = readyAt
 	l.FillState = fillState
-	c.lines[tag] = l
+	c.lines.Set(tag, l)
 	c.pushFront(l)
 	return victim, evicted
 }
@@ -159,7 +159,7 @@ func (c *Cache) Insert(tag uint64, fillState State, now, readyAt Clock) (victim 
 // in the paper's protocol and may target a pending line). It reports
 // whether the line was resident.
 func (c *Cache) Invalidate(tag uint64) bool {
-	l := c.lines[tag]
+	l := c.lines.Get(tag)
 	if l == nil {
 		return false
 	}
@@ -169,7 +169,7 @@ func (c *Cache) Invalidate(tag uint64) bool {
 
 // Downgrade moves an Exclusive line to Shared (remote read of dirty data).
 func (c *Cache) Downgrade(tag uint64) {
-	l := c.lines[tag]
+	l := c.lines.Get(tag)
 	if l == nil {
 		return
 	}
@@ -210,7 +210,7 @@ func (c *Cache) ForEach(fn func(*Line)) {
 
 func (c *Cache) remove(l *Line) {
 	c.unlink(l)
-	delete(c.lines, l.Tag)
+	c.lines.Set(l.Tag, nil)
 	l.prev, l.next = nil, c.free
 	c.free = l
 }

@@ -7,6 +7,7 @@ import (
 	"clustersim/internal/cache"
 	"clustersim/internal/directory"
 	"clustersim/internal/fault"
+	"clustersim/internal/linetab"
 	"clustersim/internal/memory"
 )
 
@@ -32,9 +33,9 @@ const DefaultBusCycles Clock = 15
 // rather than outright hits.
 type MemClusterSystem struct {
 	as          *memory.AddressSpace
-	dir         *directory.Directory // cluster-granularity sharer sets
-	l1          []cache.Store        // per processor
-	attraction  []map[uint64]cache.State
+	dir         *directory.Directory       // cluster-granularity sharer sets
+	l1          []cache.Store              // per processor
+	attraction  []linetab.Map[cache.State] // per cluster; Invalid = absent
 	clusterSize int
 	lat         Latencies
 	bus         Clock
@@ -90,10 +91,7 @@ func NewMemClusterSystem(as *memory.AddressSpace, numClusters, clusterSize, l1Li
 		}
 		s.l1[i] = sa
 	}
-	s.attraction = make([]map[uint64]cache.State, numClusters)
-	for i := range s.attraction {
-		s.attraction[i] = make(map[uint64]cache.State)
-	}
+	s.attraction = make([]linetab.Map[cache.State], numClusters)
 	return s, nil
 }
 
@@ -139,8 +137,7 @@ func (s *MemClusterSystem) injectFetch(line uint64, cluster int, hops Hops, now 
 
 // InCluster reports whether the cluster's attraction memory holds line.
 func (s *MemClusterSystem) InCluster(cluster int, line uint64) bool {
-	_, ok := s.attraction[cluster][line]
-	return ok
+	return s.attraction[cluster].Get(line) != cache.Invalid
 }
 
 // Read simulates a load by processor proc (in cluster) at time now.
@@ -157,7 +154,7 @@ func (s *MemClusterSystem) Read(proc, cluster int, addr memory.Addr, now Clock) 
 	}
 	// In-cluster: the snoopy bus finds the line in a sibling cache or
 	// the attraction memory — the paper's cache-to-cache sharing.
-	if _, ok := s.attraction[cluster][line]; ok {
+	if s.InCluster(cluster, line) {
 		s.insertL1(proc, cluster, line, cache.Shared, now, now+s.bus)
 		return Access{Class: ReadMiss, Hops: HopIntraCluster, Stall: s.bus}
 	}
@@ -189,7 +186,7 @@ func (s *MemClusterSystem) Read(proc, cluster int, addr memory.Addr, now Clock) 
 	}
 	lat := s.lat.of(hops) + s.injectFetch(line, cluster, hops, now)
 	s.dir.AddSharer(line, cluster)
-	s.attraction[cluster][line] = cache.Shared
+	s.attraction[cluster].Set(line, cache.Shared)
 	s.insertL1(proc, cluster, line, cache.Shared, now, now+lat)
 	return Access{Class: ReadMiss, Hops: hops, Stall: lat}
 }
@@ -221,7 +218,7 @@ func (s *MemClusterSystem) Write(proc, cluster int, addr memory.Addr, now Clock)
 			return Access{Class: Upgrade, Stall: ack}
 		}
 	}
-	if _, ok := s.attraction[cluster][line]; ok {
+	if s.InCluster(cluster, line) {
 		// In-cluster write miss: bus fetch (hidden) plus ownership.
 		ack := s.makeExclusive(proc, cluster, line, now)
 		s.insertL1(proc, cluster, line, cache.Exclusive, now, now+s.bus)
@@ -251,7 +248,7 @@ func (s *MemClusterSystem) Write(proc, cluster int, addr memory.Addr, now Clock)
 	lat := s.lat.of(hops) + s.injectFetch(line, cluster, hops, now)
 	ack := s.invalidateOtherClusters(line, cluster, proc, now)
 	s.dir.SetExclusive(line, cluster)
-	s.attraction[cluster][line] = cache.Exclusive
+	s.attraction[cluster].Set(line, cache.Exclusive)
 	s.insertL1(proc, cluster, line, cache.Exclusive, now, now+lat)
 	return Access{Class: WriteMiss, Hops: hops, Stall: lat + ack}
 }
@@ -264,10 +261,10 @@ func (s *MemClusterSystem) Write(proc, cluster int, addr memory.Addr, now Clock)
 // leave the cluster, and the snoopy bus is reliable).
 func (s *MemClusterSystem) makeExclusive(proc, cluster int, line uint64, now Clock) Clock {
 	var ack Clock
-	if st, ok := s.attraction[cluster][line]; !ok || st != cache.Exclusive {
+	if s.attraction[cluster].Get(line) != cache.Exclusive {
 		ack = s.invalidateOtherClusters(line, cluster, proc, now)
 		s.dir.SetExclusive(line, cluster)
-		s.attraction[cluster][line] = cache.Exclusive
+		s.attraction[cluster].Set(line, cache.Exclusive)
 	}
 	base := cluster * s.clusterSize
 	for q := base; q < base+s.clusterSize; q++ {
@@ -295,7 +292,7 @@ func (s *MemClusterSystem) invalidateOtherClusters(line uint64, cluster, proc in
 	for mask != 0 {
 		j := bits.TrailingZeros64(mask)
 		mask &^= 1 << uint(j)
-		delete(s.attraction[j], line)
+		s.attraction[j].Set(line, cache.Invalid)
 		base := j * s.clusterSize
 		for q := base; q < base+s.clusterSize; q++ {
 			s.l1[q].Invalidate(line)
@@ -322,7 +319,7 @@ func (s *MemClusterSystem) invalidateOtherClusters(line uint64, cluster, proc in
 // attraction memory keeps a shared copy and any dirty private copy is
 // downgraded in place.
 func (s *MemClusterSystem) downgradeCluster(cluster int, line uint64) {
-	s.attraction[cluster][line] = cache.Shared
+	s.attraction[cluster].Set(line, cache.Shared)
 	base := cluster * s.clusterSize
 	for q := base; q < base+s.clusterSize; q++ {
 		s.l1[q].Downgrade(line)
@@ -356,7 +353,7 @@ func (s *MemClusterSystem) CheckLine(addr memory.Addr, now Clock) error {
 	line := addr >> s.lineShift
 	e := s.dir.Lookup(line)
 	for cl := 0; cl < s.numClusters; cl++ {
-		if _, present := s.attraction[cl][line]; e.Has(cl) != present {
+		if present := s.InCluster(cl, line); e.Has(cl) != present {
 			return fmt.Errorf("line %#x: directory bit %v but attraction presence %v in cluster %d",
 				line, e.Has(cl), present, cl)
 		}
@@ -370,8 +367,8 @@ func (s *MemClusterSystem) CheckLine(addr memory.Addr, now Clock) error {
 			continue
 		}
 		cl := p / s.clusterSize
-		st, ok := s.attraction[cl][line]
-		if !ok {
+		st := s.attraction[cl].Get(line)
+		if st == cache.Invalid {
 			return fmt.Errorf("processor %d caches line %#x absent from cluster %d", p, line, cl)
 		}
 		eff := l.State
@@ -394,8 +391,7 @@ func (s *MemClusterSystem) CheckInvariants(now Clock) error {
 			return
 		}
 		for cl := 0; cl < s.numClusters; cl++ {
-			_, present := s.attraction[cl][line]
-			if e.Has(cl) != present {
+			if present := s.InCluster(cl, line); e.Has(cl) != present {
 				err = fmt.Errorf("line %#x: directory bit %v but attraction presence %v in cluster %d",
 					line, e.Has(cl), present, cl)
 				return
@@ -417,8 +413,8 @@ func (s *MemClusterSystem) CheckInvariants(now Clock) error {
 			if err != nil {
 				return
 			}
-			st, ok := s.attraction[cl][l.Tag]
-			if !ok {
+			st := s.attraction[cl].Get(l.Tag)
+			if st == cache.Invalid {
 				err = fmt.Errorf("processor %d caches line %#x absent from cluster %d", p, l.Tag, cl)
 				return
 			}

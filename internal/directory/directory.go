@@ -8,14 +8,17 @@
 // invalidations are ever sent.
 //
 // Directory state is logically distributed across the home clusters; this
-// implementation keeps a single map keyed by line number because homing
-// affects only latency, which the coherence layer computes from the
-// address space's page-home table.
+// implementation keeps a single line table (linetab.Map) keyed by line
+// number, holding only lines cached somewhere, because homing affects
+// only latency, which the coherence layer computes from the address
+// space's page-home table.
 package directory
 
 import (
 	"fmt"
 	"math/bits"
+
+	"clustersim/internal/linetab"
 )
 
 // State is the directory's view of one cache line.
@@ -42,7 +45,8 @@ func (s State) String() string {
 
 // Entry is the directory record for one line. The sharer vector is a
 // 64-bit mask over clusters — the paper's machine has at most 64 clusters
-// (64 processors, 1 per cluster).
+// (64 processors, 1 per cluster). The zero Entry is a NotCached line;
+// the directory stores no such entry.
 type Entry struct {
 	State   State
 	Sharers uint64
@@ -66,7 +70,7 @@ func (e Entry) Has(cluster int) bool { return e.Sharers&(1<<uint(cluster)) != 0 
 // Directory is the collection of entries for every line ever cached.
 type Directory struct {
 	numClusters int
-	entries     map[uint64]Entry
+	entries     linetab.Map[Entry]
 }
 
 // New creates a directory for a machine of numClusters clusters (≤ 64).
@@ -74,12 +78,12 @@ func New(numClusters int) (*Directory, error) {
 	if numClusters <= 0 || numClusters > 64 {
 		return nil, fmt.Errorf("directory: numClusters %d out of range [1,64]", numClusters)
 	}
-	return &Directory{numClusters: numClusters, entries: make(map[uint64]Entry)}, nil
+	return &Directory{numClusters: numClusters}, nil
 }
 
 // Lookup returns the entry for a line; absent lines are NotCached.
 func (d *Directory) Lookup(line uint64) Entry {
-	return d.entries[line]
+	return d.entries.Get(line)
 }
 
 // AddSharer records that cluster fetched the line in the shared state.
@@ -87,32 +91,32 @@ func (d *Directory) Lookup(line uint64) Entry {
 // owner first).
 func (d *Directory) AddSharer(line uint64, cluster int) {
 	d.check(cluster)
-	e := d.entries[line]
+	e := d.entries.Get(line)
 	if e.State == Exclusive {
 		panic(fmt.Sprintf("directory: AddSharer on EXCLUSIVE line %#x", line))
 	}
 	e.State = Shared
 	e.Sharers |= 1 << uint(cluster)
-	d.entries[line] = e
+	d.entries.Set(line, e)
 }
 
 // SetExclusive records that cluster now owns the line exclusively; every
 // other copy must already have been invalidated by the caller.
 func (d *Directory) SetExclusive(line uint64, cluster int) {
 	d.check(cluster)
-	d.entries[line] = Entry{State: Exclusive, Sharers: 1 << uint(cluster)}
+	d.entries.Set(line, Entry{State: Exclusive, Sharers: 1 << uint(cluster)})
 }
 
 // Downgrade moves an Exclusive line to Shared, keeping the owner as a
 // sharer (a remote read of dirty data causes a cache-to-cache transfer
 // and the owner retains a shared copy).
 func (d *Directory) Downgrade(line uint64) {
-	e := d.entries[line]
+	e := d.entries.Get(line)
 	if e.State != Exclusive {
 		panic(fmt.Sprintf("directory: Downgrade on %v line %#x", e.State, line))
 	}
 	e.State = Shared
-	d.entries[line] = e
+	d.entries.Set(line, e)
 }
 
 // ReplacementHint records that cluster dropped its clean copy. When the
@@ -121,48 +125,43 @@ func (d *Directory) Downgrade(line uint64) {
 // arise when an eviction races an instantaneous invalidation).
 func (d *Directory) ReplacementHint(line uint64, cluster int) {
 	d.check(cluster)
-	e, ok := d.entries[line]
-	if !ok || !e.Has(cluster) {
+	e := d.entries.Get(line)
+	if !e.Has(cluster) {
 		return
 	}
 	e.Sharers &^= 1 << uint(cluster)
 	if e.Sharers == 0 {
-		delete(d.entries, line)
-		return
+		e = Entry{} // last copy gone: NotCached, deleted
 	}
-	d.entries[line] = e
+	d.entries.Set(line, e)
 }
 
 // Writeback records that the exclusive owner evicted its dirty copy; the
 // line returns to NotCached (memory at the home is now up to date).
 func (d *Directory) Writeback(line uint64, cluster int) {
 	d.check(cluster)
-	e := d.entries[line]
+	e := d.entries.Get(line)
 	if e.State != Exclusive || !e.Has(cluster) {
 		panic(fmt.Sprintf("directory: Writeback of line %#x from non-owner cluster %d (entry %+v)",
 			line, cluster, e))
 	}
-	delete(d.entries, line)
+	d.entries.Set(line, Entry{})
 }
 
 // ClearAll invalidates every copy of the line (the requester's write has
 // been serialised); the caller is responsible for invalidating the caches.
 // It returns the clusters that held copies, as a bitmask.
 func (d *Directory) ClearAll(line uint64) uint64 {
-	e := d.entries[line]
-	delete(d.entries, line)
+	e := d.entries.Get(line)
+	d.entries.Set(line, Entry{})
 	return e.Sharers
 }
 
 // Len returns how many lines are currently cached somewhere.
-func (d *Directory) Len() int { return len(d.entries) }
+func (d *Directory) Len() int { return d.entries.Len() }
 
 // ForEach visits every entry; for invariant auditing in tests.
-func (d *Directory) ForEach(fn func(line uint64, e Entry)) {
-	for line, e := range d.entries {
-		fn(line, e)
-	}
-}
+func (d *Directory) ForEach(fn func(line uint64, e Entry)) { d.entries.ForEach(fn) }
 
 func (d *Directory) check(cluster int) {
 	if cluster < 0 || cluster >= d.numClusters {

@@ -21,6 +21,8 @@ package engine
 import (
 	"fmt"
 	"iter"
+	"math"
+	"math/bits"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -112,7 +114,7 @@ func (pe *PE) SetTime(at Clock) {
 // that such events occur in virtual-time order.
 func (pe *PE) Yield() {
 	s := pe.sched
-	for len(s.heap) > 0 && s.heap[0].time+s.quantum < pe.time {
+	for len(s.heap) > 0 && s.entryTime(s.heap[0])+s.quantum < pe.time {
 		if s.timer != nil {
 			s.timer.EnterSched()
 		}
@@ -170,7 +172,9 @@ func (pe *PE) suspend() {
 type Scheduler struct {
 	pes       []*PE
 	heap      []readyEntry
-	next      *PE // processor the driver resumes next; nil ends the run
+	idBits    uint  // low key bits holding the processor ID
+	maxTime   Clock // largest clock a key can hold
+	next      *PE   // processor the driver resumes next; nil ends the run
 	quantum   Clock
 	nFinished int
 	probe     Probe
@@ -188,7 +192,9 @@ func NewScheduler(n int, quantum Clock) *Scheduler {
 	if quantum < 0 {
 		panic("engine: negative quantum")
 	}
-	s := &Scheduler{quantum: quantum, heap: make([]readyEntry, 0, n)}
+	idBits := uint(bits.Len(uint(n - 1)))
+	s := &Scheduler{quantum: quantum, heap: make([]readyEntry, 0, n), idBits: idBits,
+		maxTime: math.MaxInt64 >> (max(idBits, 1) - 1)}
 	s.pes = make([]*PE, n)
 	pes := make([]PE, n)
 	for i := range s.pes {
@@ -342,25 +348,36 @@ func (s *Scheduler) deadlockError() error {
 
 // --- ready heap, ordered by (time, id) --------------------------------
 
-// readyEntry is a runnable processor in the ready heap. A ready
-// processor does not run, so its clock cannot change while it waits and
-// the heap can hold a copy of it, keeping sifts within one array.
-type readyEntry struct {
-	time Clock
-	id   int
+// readyEntry is a runnable processor in the ready heap, packed as
+// time<<idBits | id so that (time, id) order is one unsigned compare. A
+// ready processor does not run, so its clock cannot change while it
+// waits and the heap can hold a copy of it, keeping sifts within one
+// array. Keys are unique because IDs are.
+type readyEntry uint64
+
+// entry packs pe's key. It panics if the clock has outgrown the bits
+// the ID leaves free, rather than wrap and misorder the heap.
+func (s *Scheduler) entry(pe *PE) readyEntry {
+	if pe.time > s.maxTime {
+		panic(fmt.Sprintf("engine: PE %d clock %d exceeds the ready heap's %d-bit time range",
+			pe.id, pe.time, 64-s.idBits))
+	}
+	return readyEntry(uint64(pe.time)<<s.idBits | uint64(pe.id))
 }
 
-func (a readyEntry) less(b readyEntry) bool {
-	return a.time < b.time || (a.time == b.time && a.id < b.id)
-}
+// entryTime returns the virtual clock packed in e.
+func (s *Scheduler) entryTime(e readyEntry) Clock { return Clock(e >> s.idBits) }
+
+// entryPE returns the processor packed in e.
+func (s *Scheduler) entryPE(e readyEntry) *PE { return s.pes[e&(1<<s.idBits-1)] }
 
 func (s *Scheduler) heapPush(pe *PE) {
-	e := readyEntry{pe.time, pe.id}
+	e := s.entry(pe)
 	s.heap = append(s.heap, e)
 	i := len(s.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(s.heap[parent]) {
+		if e > s.heap[parent] {
 			break
 		}
 		s.heap[i] = s.heap[parent]
@@ -377,35 +394,47 @@ func (s *Scheduler) heapPopMin() *PE {
 	if last > 0 {
 		s.siftDown(e)
 	}
-	return s.pes[min.id]
+	return s.entryPE(min)
 }
 
 // heapReplaceTop swaps pe in for the minimum and returns the old
 // minimum: one sift instead of a push followed by a pop.
 func (s *Scheduler) heapReplaceTop(pe *PE) *PE {
 	min := s.heap[0]
-	s.siftDown(readyEntry{pe.time, pe.id})
-	return s.pes[min.id]
+	s.siftDown(s.entry(pe))
+	return s.entryPE(min)
 }
 
 // siftDown places e in the heap, whose root slot it takes over, moving
-// smaller children up into the hole until e fits.
+// smaller children up into the hole until e fits. Where both children
+// exist the smaller is picked without a branch.
 func (s *Scheduler) siftDown(e readyEntry) {
 	h := s.heap
 	i := 0
 	for {
 		c := 2*i + 1
-		if c >= len(h) {
+		if c+1 >= len(h) {
+			if c < len(h) && h[c] < e {
+				h[i] = h[c]
+				i = c
+			}
 			break
 		}
-		if c+1 < len(h) && h[c+1].less(h[c]) {
-			c++
-		}
-		if !h[c].less(e) {
+		c += lessBit(h[c+1], h[c])
+		if h[c] > e {
 			break
 		}
 		h[i] = h[c]
 		i = c
 	}
 	h[i] = e
+}
+
+// lessBit is 1 if a < b and 0 otherwise; it compiles to a SETcc, so a
+// sift picks a child without a mispredictable branch.
+func lessBit(a, b readyEntry) int {
+	if a < b {
+		return 1
+	}
+	return 0
 }

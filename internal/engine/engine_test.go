@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -70,7 +72,7 @@ func TestQuantumBoundsSkew(t *testing.T) {
 			pe.Yield()
 			// At this point every heap entry must be >= pe.time - q.
 			for _, other := range pe.sched.heap {
-				if other.time+q < pe.Now() {
+				if pe.sched.entryTime(other)+q < pe.Now() {
 					bad++
 				}
 			}
@@ -317,6 +319,55 @@ func TestHeapOrderingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadyKeyRange: a ready-heap key holds any clock that fits in the
+// bits the processor ID leaves free, and panics rather than wrap past
+// them. With one or two processors that is every non-negative Clock.
+func TestReadyKeyRange(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 64, 65} {
+		s := NewScheduler(n, 0)
+		maxTime := Clock(math.MaxInt64)
+		if idBits := bits.Len(uint(n - 1)); idBits > 1 {
+			maxTime = 1<<(64-idBits) - 1
+		}
+		pe := s.pes[n-1]
+		pe.time = maxTime
+		s.heapPush(pe)
+		if got := s.entryTime(s.heap[0]); got != maxTime {
+			t.Errorf("n=%d: key time = %d, want %d", n, got, maxTime)
+		}
+		if got := s.heapPopMin(); got != pe {
+			t.Errorf("n=%d: popped PE %d, want %d", n, got.id, pe.id)
+		}
+		if maxTime == math.MaxInt64 {
+			continue
+		}
+		pe.time = maxTime + 1
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "time range") {
+					t.Errorf("n=%d: push at clock %d: recovered %v, want a time-range panic", n, pe.time, r)
+				}
+			}()
+			s.heapPush(pe)
+		}()
+	}
+}
+
+// TestReadyKeyOverflowFailsRun: a processor whose clock outgrows the key
+// fails the run with an error instead of misordering the heap.
+func TestReadyKeyOverflowFailsRun(t *testing.T) {
+	s := NewScheduler(4, 0) // two ID bits: clocks below 1<<62
+	err := s.Run(func(pe *PE) {
+		if pe.ID() == 0 {
+			pe.Advance(1 << 62)
+		}
+		pe.Yield()
+	})
+	if err == nil || !strings.Contains(err.Error(), "exceeds the ready heap's 62-bit time range") {
+		t.Fatalf("Run error = %v, want a time-range failure", err)
 	}
 }
 

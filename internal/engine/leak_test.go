@@ -3,39 +3,16 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"testing"
+
+	"clustersim/internal/leakcheck"
 )
 
 // TestMain fails the package if any goroutine started by its tests
 // (processor coroutines included) is still alive once they finish.
-func TestMain(m *testing.M) {
-	base := runtime.NumGoroutine()
-	code := m.Run()
-	if code == 0 {
-		if n := settledGoroutines(base); n > base {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			fmt.Fprintf(os.Stderr, "goroutine leak: %d goroutines before tests, %d after\n%s\n", base, n, buf)
-			code = 1
-		}
-	}
-	os.Exit(code)
-}
-
-// settledGoroutines returns the goroutine count once it drops to base,
-// yielding the processor meanwhile so that finished test goroutines get
-// to exit; it gives up after a bounded number of yields.
-func settledGoroutines(base int) int {
-	n := runtime.NumGoroutine()
-	for i := 0; i < 100000 && n > base; i++ {
-		runtime.Gosched()
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestAbortUnwindsEveryProcessor ends a run three ways — Fail, a kernel
 // panic and a deadlock — while the other processors are suspended:

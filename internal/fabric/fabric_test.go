@@ -35,12 +35,15 @@ func makeSpecs(n int) []PointSpec {
 }
 
 // testFabric is one assembled coordinator+fleet harness over a simnet.
+// Its cleanup joins the coordinator's Serve loop and every worker.
 type testFabric struct {
-	net   *Net
-	coord *Coordinator
-	log   *obs.Log
-	mu    sync.Mutex
-	done  map[string]*core.Result // OnResult sink
+	net     *Net
+	coord   *Coordinator
+	log     *obs.Log
+	mu      sync.Mutex
+	done    map[string]*core.Result // OnResult sink
+	serving sync.WaitGroup          // Serve and every worker's RunConn
+	workers []string                // ids started, for severing at cleanup
 }
 
 func newTestFabric(t *testing.T, plan ChaosPlan, cfg CoordinatorConfig) *testFabric {
@@ -60,8 +63,25 @@ func newTestFabric(t *testing.T, plan ChaosPlan, cfg CoordinatorConfig) *testFab
 		}
 	}
 	tf.coord = NewCoordinator(cfg)
-	go tf.coord.Serve(n.Listener()) //simlint:allow goroutine — test harness
+	tf.serving.Add(1)
+	go func() { //simlint:allow goroutine — test harness
+		defer tf.serving.Done()
+		tf.coord.Serve(n.Listener())
+	}()
+	t.Cleanup(tf.stop)
 	return tf
+}
+
+// stop closes the listener, ending Serve if the sweep's drain has not,
+// and severs every worker link: a worker whose Drain frame the chaos
+// dropped would otherwise wait in Recv forever. It then waits for
+// Serve and every RunConn to return.
+func (tf *testFabric) stop() {
+	tf.net.Listener().Close()
+	for _, id := range tf.workers {
+		tf.net.Crash(id)
+	}
+	tf.serving.Wait()
 }
 
 // startWorker connects one worker and serves it until drain/death.
@@ -73,7 +93,12 @@ func (tf *testFabric) startWorker(t *testing.T, id string, run Runner) <-chan er
 	}
 	w := NewWorker(WorkerConfig{ID: id, Heartbeat: 25 * time.Millisecond, Run: run})
 	errc := make(chan error, 1)
-	go func() { errc <- w.RunConn(conn) }() //simlint:allow goroutine — test harness
+	tf.workers = append(tf.workers, id)
+	tf.serving.Add(1)
+	go func() { //simlint:allow goroutine — test harness
+		defer tf.serving.Done()
+		errc <- w.RunConn(conn)
+	}()
 	return errc
 }
 

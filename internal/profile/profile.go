@@ -39,6 +39,7 @@ package profile
 
 import (
 	"clustersim/internal/coherence"
+	"clustersim/internal/linetab"
 	"clustersim/internal/memory"
 )
 
@@ -202,7 +203,7 @@ type Collector struct {
 	wordsPerLine int
 	wordMask     uint64
 
-	lines   map[uint64]*lineState
+	lines   linetab.Map[*lineState]
 	regions []regionAccum // indexed by allocation order; grown on demand
 	spill   regionAccum   // accesses outside every named region
 	started bool
@@ -229,13 +230,12 @@ func (c *Collector) Start(as *memory.AddressSpace, clusters int, lineBytes uint6
 		c.wordsPerLine = 1
 	}
 	c.wordMask = uint64(c.wordsPerLine - 1)
-	c.lines = make(map[uint64]*lineState)
 }
 
 // line returns (creating if needed) the state of the line containing
 // addr.
 func (c *Collector) line(num uint64, addr memory.Addr) *lineState {
-	st := c.lines[num]
+	st := c.lines.Get(num)
 	if st == nil {
 		region := int32(-1)
 		if i, ok := c.as.RegionIndexOf(addr); ok {
@@ -247,7 +247,7 @@ func (c *Collector) line(num uint64, addr memory.Addr) *lineState {
 			lostAt: make([]Clock, c.clusters),
 			words:  make([]wordWrite, c.wordsPerLine),
 		}
-		c.lines[num] = st
+		c.lines.Set(num, st)
 	}
 	return st
 }
@@ -361,10 +361,10 @@ func (c *Collector) Reset() {
 		c.regions[i] = regionAccum{}
 	}
 	c.spill = regionAccum{}
-	for _, st := range c.lines {
+	c.lines.ForEach(func(_ uint64, st *lineState) {
 		st.misses = ClassCounts{}
 		st.stall = 0
 		st.invals = 0
 		st.pairs = nil
-	}
+	})
 }

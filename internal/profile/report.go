@@ -181,16 +181,16 @@ func (c *Collector) hotLines(n int) []LineReport {
 		return nil
 	}
 	var out []LineReport
-	for num, st := range c.lines {
+	c.lines.ForEach(func(num uint64, st *lineState) {
 		if st.misses.Total() == 0 {
-			continue
+			return
 		}
 		addr := num << c.lineShift
 		name, off := "(unattributed)", uint64(0)
 		if reg, ok := c.as.RegionOf(addr); ok {
 			name, off = reg.Name, addr-reg.Base
 		}
-		out = append(out, LineReport{ //simlint:allow maprange — fully sorted below
+		out = append(out, LineReport{
 			Line:          num,
 			Addr:          addr,
 			Region:        name,
@@ -200,7 +200,7 @@ func (c *Collector) hotLines(n int) []LineReport {
 			Invalidations: st.invals,
 			Pairs:         sortPairs(st.pairs),
 		})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if am, bm := out[i].Misses.Total(), out[j].Misses.Total(); am != bm {
 			return am > bm
