@@ -2,11 +2,24 @@
 
 // Package engine implements the deterministic discrete-event core of the
 // clustered-multiprocessor simulator, in the style of Tango-lite: every
-// simulated processor runs its workload as a coroutine, and one driver
-// loop resumes exactly one of them at a time. A processor suspends back
-// to the driver whenever it must wait for others, naming the next
-// processor to resume, so that references to the shared memory-system
-// model are always performed in global virtual-time order.
+// simulated processor runs its workload as a coroutine, and exactly one
+// of them runs at a time. A processor that must wait for others picks
+// the next processor to run and transfers control straight to it, one
+// coroutine switch per handoff, so that references to the shared
+// memory-system model are always performed in global virtual-time order.
+//
+// The switches use the coroutines under iter.Pull, which are symmetric:
+// a switch on a coroutine wakes whichever goroutine is parked on it and
+// parks the caller there instead, and iter.Pull's next and yield are
+// each one such switch that does not check which goroutine calls it.
+// Each processor records which coroutine it is parked on, and a handoff
+// switches on the target's. A processor's coroutine ends when its
+// kernel returns, which wakes whichever goroutine is parked there —
+// another processor, or the goroutine that called Run (home) — and that
+// goroutine passes control on unless it is the one due to run. A failed
+// run sends control home, and Run resumes every suspended processor so
+// that it unwinds. TestCoroSwitchContract pins the iter.Pull behaviour
+// this relies on.
 //
 // The scheduling invariant is: the running processor may only perform an
 // event while its virtual clock is within Quantum cycles of the minimum
@@ -35,14 +48,14 @@ type runState uint8
 
 const (
 	stateReady    runState = iota // in the ready heap, waiting to be resumed
-	stateRunning                  // the coroutine the driver is resuming
+	stateRunning                  // the processor that runs now
 	stateBlocked                  // parked on a synchronisation object
 	stateFinished                 // kernel returned
 )
 
 // Probe observes scheduler-internal events: it is the engine half of the
 // telemetry layer. Callbacks arrive one at a time from the running
-// processor (or the driver loop, for the initial dispatch), in global
+// processor (or from Run, for the initial dispatch), in global
 // virtual-time order, so implementations need no locking. A nil probe
 // costs one predictable branch per handoff.
 type Probe interface {
@@ -57,8 +70,8 @@ type Probe interface {
 // Timer observes where the host's wall-clock time goes — the engine
 // half of the perf monitor. EnterSched fires when the running processor
 // begins handoff machinery (ready-heap maintenance and the coroutine
-// switches through the driver loop to the next processor); EnterApp
-// fires when a processor resumes application execution. Exactly one
+// switch straight to the next processor); EnterApp fires when a
+// processor resumes application execution. Exactly one
 // coroutine executes at a time, so calls arrive strictly ordered and
 // implementations need no locking. A nil timer costs one predictable
 // branch per handoff.
@@ -71,8 +84,8 @@ type Timer interface {
 type abortPanic struct{}
 
 // PE is a simulated processing element. All of its methods must be called
-// only from the coroutine running that PE's kernel, while the driver is
-// resuming it; the Scheduler enforces this by construction.
+// only from the coroutine running that PE's kernel, while it is the
+// running processor; the Scheduler enforces this by construction.
 type PE struct {
 	id     int
 	sched  *Scheduler
@@ -80,9 +93,14 @@ type PE struct {
 	state  runState
 	reason string // why blocked, for deadlock reports
 
-	resume func() (struct{}, bool) // runs the coroutine until it suspends
-	stop   func()                  // makes a pending suspend unwind
-	yield  func(struct{}) bool     // suspends back to the driver loop
+	// The switch state of the coroutine that runs this PE's kernel. Any
+	// goroutine may switch on it; the switches alternate iter.Pull's
+	// next and yield, starting with next, which also starts the kernel.
+	next      func() (struct{}, bool)
+	yield     func(struct{}) bool
+	yieldTurn bool // the next switch on this coroutine is a yield
+
+	parked *PE // whose coroutine this PE's goroutine is parked on
 }
 
 // ID returns the processor number, in [0, NumPE).
@@ -156,13 +174,11 @@ func (pe *PE) Fail(err error) {
 	panic(abortPanic{})
 }
 
-// suspend returns control to the driver loop until it resumes this PE,
-// unwinding if the run ends first. Resuming is where the handoff span
-// opened by EnterSched ends.
+// suspend transfers control to the processor due to run and returns
+// once this PE is due again, unwinding if the run ends first. Resuming
+// is where the handoff span opened by EnterSched ends.
 func (pe *PE) suspend() {
-	if !pe.yield(struct{}{}) {
-		panic(abortPanic{})
-	}
+	pe.sched.park(pe)
 	if pe.sched.timer != nil {
 		pe.sched.timer.EnterApp()
 	}
@@ -174,7 +190,7 @@ type Scheduler struct {
 	heap      []readyEntry
 	idBits    uint  // low key bits holding the processor ID
 	maxTime   Clock // largest clock a key can hold
-	next      *PE   // processor the driver resumes next; nil ends the run
+	running   *PE   // processor due to run; nil hands control home to Run
 	quantum   Clock
 	nFinished int
 	probe     Probe
@@ -239,7 +255,8 @@ func (s *Scheduler) Run(kernel func(*PE)) error {
 	for _, pe := range s.pes {
 		pe.state = stateReady
 		s.heapPush(pe)
-		pe.resume, pe.stop = iter.Pull(s.coroutine(pe, kernel))
+		pe.next, _ = iter.Pull(s.coroutine(pe, kernel))
+		pe.parked = pe
 	}
 	if s.timer != nil {
 		s.timer.EnterSched() // initial dispatch is scheduling work
@@ -249,39 +266,90 @@ func (s *Scheduler) Run(kernel func(*PE)) error {
 	if s.probe != nil {
 		s.probe.Handoff(-1, first.id, 0, first.time, len(s.heap))
 	}
-	for pe := first; pe != nil; pe = s.next {
-		s.next = nil
-		pe.resume()
-	}
+	s.running = first
+	s.park(nil)
+	// Home runs again once every kernel has returned, or once the run
+	// has failed: then it resumes each processor still suspended, which
+	// unwinds and hands control back.
 	for _, pe := range s.pes {
-		pe.stop()
+		if pe.state != stateFinished {
+			s.running = pe
+			s.park(nil)
+		}
 	}
 	return s.err
 }
 
-// coroutine wraps kernel for pe: it starts on pe's first resume, hands
-// on when the kernel returns, and turns a kernel panic into the run's
-// error.
+// park transfers control from the calling goroutine, self (nil for
+// home), to the processor due to run, and returns once self is due. A
+// goroutine woken by the end of the coroutine it was parked on may not
+// be due; it passes control on. A processor woken after the run has
+// failed unwinds instead. Home need not record where it parks: nothing
+// switches to it, and it wakes only when that coroutine ends.
+func (s *Scheduler) park(self *PE) {
+	for {
+		if s.err != nil && self != nil {
+			panic(abortPanic{})
+		}
+		to := s.running
+		if to == self {
+			return
+		}
+		// Switch on the coroutine to is parked on: to runs, and self
+		// parks there in its place.
+		c := to.parked
+		if self != nil {
+			self.parked = c
+		}
+		if c.yieldTurn {
+			c.yieldTurn = false
+			c.yield(struct{}{})
+		} else {
+			c.yieldTurn = true
+			c.next()
+		}
+	}
+}
+
+// coroutine wraps kernel for pe: it starts on the first switch on pe's
+// coroutine, hands on when the kernel returns, and turns a kernel panic
+// into the run's error. Its end wakes the goroutine parked on it.
 func (s *Scheduler) coroutine(pe *PE, kernel func(*PE)) iter.Seq[struct{}] {
 	return func(yield func(struct{}) bool) {
 		pe.yield = yield
+		returned := false
 		defer func() {
 			if r := recover(); r != nil {
-				if _, ok := r.(abortPanic); ok {
-					return
+				if _, ok := r.(abortPanic); !ok {
+					// Annotate with the crash site's simulation
+					// coordinates (workload, PE, virtual time) so a
+					// failure is diagnosable — and, with a seeded fault
+					// plan, replayable — from the error alone.
+					s.fail(fmt.Errorf("engine: app %q: processor %d panicked at virtual time %d: %v\n%s",
+						s.labelOrDefault(), pe.id, pe.time, r, debug.Stack()))
 				}
-				// Annotate with the crash site's simulation coordinates
-				// (workload, PE, virtual time) so a failure is
-				// diagnosable — and, with a seeded fault plan,
-				// replayable — from the error alone.
-				s.fail(fmt.Errorf("engine: app %q: processor %d panicked at virtual time %d: %v\n%s",
-					s.labelOrDefault(), pe.id, pe.time, r, debug.Stack()))
+			} else if !returned {
+				// The kernel called runtime.Goexit. iter.Pull also
+				// passes the Goexit on to the goroutine this
+				// coroutine's end wakes, if that one is parked in
+				// next; when it is Run's caller, Run does not return.
+				s.fail(fmt.Errorf("engine: app %q: processor %d exited its goroutine at virtual time %d",
+					s.labelOrDefault(), pe.id, pe.time))
+			}
+			pe.state = stateFinished
+			if s.err != nil {
+				s.running = nil
 			}
 		}()
+		if s.err != nil {
+			returned = true // the run failed before pe first ran
+			return
+		}
 		if s.timer != nil {
 			s.timer.EnterApp()
 		}
 		kernel(pe)
+		returned = true
 		pe.state = stateFinished
 		s.nFinished++
 		s.dispatch(pe)
@@ -306,27 +374,30 @@ func (s *Scheduler) dispatch(from *PE) {
 	}
 	if len(s.heap) > 0 {
 		s.handoff(from, s.heapPopMin())
-	} else if s.nFinished < len(s.pes) {
+		return
+	}
+	s.running = nil
+	if s.nFinished < len(s.pes) {
 		s.fail(s.deadlockError())
 	}
 }
 
-// handoff makes next the processor the driver resumes once from suspends.
+// handoff makes next the processor that runs once from suspends.
 func (s *Scheduler) handoff(from, next *PE) {
 	next.state = stateRunning
 	if s.probe != nil {
 		s.probe.Handoff(from.id, next.id, from.time, next.time, len(s.heap))
 	}
-	s.next = next
+	s.running = next
 }
 
-// fail records err if it is the first, and ends the driver loop once
-// the running processor suspends or unwinds.
+// fail records err if it is the first, and sends control home once the
+// running processor suspends or unwinds.
 func (s *Scheduler) fail(err error) {
 	if s.err == nil {
 		s.err = err
 	}
-	s.next = nil
+	s.running = nil
 }
 
 func (s *Scheduler) deadlockError() error {

@@ -53,3 +53,23 @@ func BenchmarkQuantum64(b *testing.B) {
 	}
 	b.ReportMetric(float64(64*n)/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkYieldRing64 measures the cost of one handoff in the ring
+// clusterbench times as engine.ns_per_handoff: 64 processors that each
+// advance one cycle and yield, so every Yield passes control to the
+// next processor in ID order. One op is one trip round the ring.
+func BenchmarkYieldRing64(b *testing.B) {
+	const pes = 64
+	s := NewScheduler(pes, 0)
+	n := b.N
+	err := s.Run(func(pe *PE) {
+		for i := 0; i < n; i++ {
+			pe.Advance(1)
+			pe.Yield()
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pes*n), "ns/handoff")
+}

@@ -73,6 +73,41 @@ func mixedKernel(n int) func(*PE) {
 	}
 }
 
+// handoffSequence runs mixedKernel on 8 processors at quantum q and
+// returns the final clocks and every Probe and Timer callback, in the
+// goldens' format.
+func handoffSequence(q Clock) (string, error) {
+	const n = 8
+	s := NewScheduler(n, q)
+	rec := &handoffRecorder{}
+	s.SetProbe(rec)
+	s.SetTimer(rec)
+	if err := s.Run(mixedKernel(n)); err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("times %v\nsched %d app %d\n%s", s.Times(), rec.sched, rec.app, rec.b.String()), nil
+}
+
+// goldenPath names the handoff golden for quantum q.
+func goldenPath(q Clock) string {
+	return filepath.Join("testdata", fmt.Sprintf("handoffs_q%d.golden", q))
+}
+
+// sequenceDiff describes where handoff sequence got first departs from
+// want, or returns "" if they are equal.
+func sequenceDiff(got, want string) string {
+	if got == want {
+		return ""
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			return fmt.Sprintf("handoff sequence diverges at line %d: got %q, want %q", i+1, gl[i], wl[i])
+		}
+	}
+	return fmt.Sprintf("handoff sequence length differs: got %d lines, want %d", len(gl), len(wl))
+}
+
 // TestHandoffSequenceGolden pins the scheduler's exact decision
 // sequence: every Handoff tuple and every EnterSched/EnterApp call, in
 // order, for a fixed 8-processor kernel at quantum 0 and quantum 5.
@@ -81,34 +116,22 @@ func mixedKernel(n int) func(*PE) {
 func TestHandoffSequenceGolden(t *testing.T) {
 	for _, q := range []Clock{0, 5} {
 		t.Run(fmt.Sprintf("q%d", q), func(t *testing.T) {
-			const n = 8
-			s := NewScheduler(n, q)
-			rec := &handoffRecorder{}
-			s.SetProbe(rec)
-			s.SetTimer(rec)
-			if err := s.Run(mixedKernel(n)); err != nil {
+			got, err := handoffSequence(q)
+			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			got := fmt.Sprintf("times %v\nsched %d app %d\n%s", s.Times(), rec.sched, rec.app, rec.b.String())
-			path := filepath.Join("testdata", fmt.Sprintf("handoffs_q%d.golden", q))
 			if *updateHandoffs {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				if err := os.WriteFile(goldenPath(q), []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
-			want, err := os.ReadFile(path)
+			want, err := os.ReadFile(goldenPath(q))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != string(want) {
-				gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-				for i := 0; i < len(gl) && i < len(wl); i++ {
-					if gl[i] != wl[i] {
-						t.Fatalf("handoff sequence diverges at line %d: got %q, want %q", i+1, gl[i], wl[i])
-					}
-				}
-				t.Fatalf("handoff sequence length differs: got %d lines, want %d", len(gl), len(wl))
+			if d := sequenceDiff(got, string(want)); d != "" {
+				t.Fatal(d)
 			}
 		})
 	}

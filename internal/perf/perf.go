@@ -34,8 +34,8 @@ const (
 	// issue side of every memory reference.
 	PhaseApp Phase = iota
 	// PhaseSched is the engine's token-handoff machinery: ready-heap
-	// maintenance and the coroutine switches through the driver loop it
-	// triggers.
+	// maintenance and the coroutine switch straight to the next
+	// processor.
 	PhaseSched
 	// PhaseCoherence is the memory-system model: cluster cache lookup,
 	// directory state machine and latency accounting.
